@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default="-",
                    help="JSONL result path; '-' writes stdout (default)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="process-pool width for grid evaluation (default 1)")
+                   help="process-pool width for winner construction "
+                        "(default 1)")
     p.add_argument("--cache-dir", default=None,
                    help="schedule-store root (default: "
                         "$XDG_CACHE_HOME/repro/schedules)")
@@ -483,10 +484,10 @@ def _cmd_provision(args) -> int:
     else:
         with open(args.output, "w") as fh:
             fh.write(text)
-    failed = sum(1 for r in results if r.error is not None)
-    degraded = sum(1 for r in results if r.degraded)
+    answered = sum(1 for r in results if r.error is None)
+    lost = sum(1 for r in results if r.failed_tasks)
     cached = sum(1 for r in results if r.from_cache)
-    summary = (f"provisioned {len(results) - failed}/{len(results)} requests "
+    summary = (f"provisioned {answered}/{len(results)} requests "
                f"({cached} plan-cache hits, jobs={args.jobs}")
     task_summary = report.task_summary()
     if task_summary:
@@ -494,8 +495,8 @@ def _cmd_provision(args) -> int:
             f"{count} {status}" for status, count in sorted(task_summary.items()))
     if report.pool_rebuilds:
         summary += f"; pool rebuilds: {report.pool_rebuilds}"
-    if degraded:
-        summary += f"; {degraded} degraded"
+    if lost:
+        summary += f"; {lost} degraded"
     if store is not None:
         summary += (f"; store: {store.stats.hits} hits, "
                     f"{store.stats.stores} stores, "
@@ -504,13 +505,12 @@ def _cmd_provision(args) -> int:
     print(summary + ")", file=sys.stderr)
     if args.stats and store is not None:
         print(json.dumps(store.stats.to_metrics_dict()), file=sys.stderr)
-    # Distinct exit codes: 1 = some requests unanswered, 3 = every request
-    # answered but some grid evaluations were lost to worker faults.
-    if failed:
+    # Distinct exit codes: 1 = some requests have no plan within their
+    # budget (or are invalid), 3 = the rest lost their winner's
+    # construction to worker faults — a re-run can answer them.
+    if answered + lost < len(results):
         return 1
-    if degraded or report.degraded:
-        return 3
-    return 0
+    return 3 if report.degraded else 0
 
 
 def _serve_supervised(args) -> int:
@@ -691,13 +691,16 @@ def _call_action(args, client) -> int:
         else:
             with open(args.output, "w") as fh:
                 fh.write(text)
-        failed = sum(1 for doc in docs if "error" in doc)
-        degraded = sum(1 for doc in docs if doc.get("degraded"))
-        print(f"provisioned {len(docs) - failed}/{len(docs)} requests via "
+        answered = sum(1 for doc in docs if "error" not in doc)
+        lost = sum(1 for doc in docs
+                   if "error" in doc and doc.get("failed_tasks"))
+        # Older servers also answered from a partial grid, marked degraded.
+        degraded = lost + sum(1 for doc in docs if doc.get("degraded"))
+        print(f"provisioned {answered}/{len(docs)} requests via "
               f"{args.host}:{args.port}"
               + (f"; {degraded} degraded" if degraded else ""),
               file=sys.stderr)
-        if failed:
+        if answered + lost < len(docs):
             return 1
         return 3 if degraded else 0
     except ServeError as exc:

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from repro._validation import check_int
 from repro.combinatorics.gf import GF, field, is_prime_power
 
@@ -200,11 +202,15 @@ def is_steiner_triple_system(v: int, blocks: list[frozenset[int]]) -> bool:
 
 
 def _normalize(f: GF, vec: tuple[int, int, int]) -> tuple[int, int, int] | None:
-    """Scale *vec* so its first nonzero coordinate is 1; None for the zero vector."""
-    for i, coord in enumerate(vec):
+    """Scale *vec* so its first nonzero coordinate is 1; None for the zero vector.
+
+    Reads the field's raw tables: every coordinate is already a field
+    element, so the per-call validation of :meth:`GF.mul` is skipped.
+    """
+    for coord in vec:
         if coord != 0:
-            inv = f.inv(coord)
-            return tuple(f.mul(inv, c) for c in vec)[:3]  # type: ignore[return-value]
+            row = f._mul[f._inv[coord]]
+            return (int(row[vec[0]]), int(row[vec[1]]), int(row[vec[2]]))
     return None
 
 
@@ -222,26 +228,26 @@ def projective_plane(q: int) -> tuple[int, list[frozenset[int]]]:
     f = field(q)
     # Points: normalized representatives of 1-dim subspaces of GF(q)^3.
     points: list[tuple[int, int, int]] = []
-    index: dict[tuple[int, int, int], int] = {}
+    seen: set[tuple[int, int, int]] = set()
     for x in range(q):
         for y in range(q):
             for z in range(q):
                 rep = _normalize(f, (x, y, z))
-                if rep is not None and rep not in index:
-                    index[rep] = len(points)
+                if rep is not None and rep not in seen:
+                    seen.add(rep)
                     points.append(rep)
     v = q * q + q + 1
     if len(points) != v:  # pragma: no cover - field-arithmetic invariant
         raise AssertionError(f"PG(2,{q}) has {len(points)} points, expected {v}")
     # Lines are also indexed by normalized coefficient vectors [a:b:c];
-    # point (x,y,z) lies on line (a,b,c) iff ax + by + cz == 0.
+    # point (x,y,z) lies on line (a,b,c) iff ax + by + cz == 0, evaluated
+    # for all points at once with the field's vectorized tables.
+    xs, ys, zs = np.array(points, dtype=np.int64).T
     lines: list[frozenset[int]] = []
     for a, b, c in points:
-        members = frozenset(
-            index[p]
-            for p in points
-            if f.add(f.add(f.mul(a, p[0]), f.mul(b, p[1])), f.mul(c, p[2])) == 0
-        )
+        dot = f.add_vec(f.add_vec(f.mul_vec(a, xs), f.mul_vec(b, ys)),
+                        f.mul_vec(c, zs))
+        members = frozenset(np.flatnonzero(dot == 0).tolist())
         if len(members) != q + 1:  # pragma: no cover - invariant
             raise AssertionError(
                 f"line {(a, b, c)} of PG(2,{q}) has {len(members)} points"

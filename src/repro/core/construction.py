@@ -34,7 +34,8 @@ throughput (Theorem 8).  Two division strategies are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, gcd
+from fractions import Fraction
+from math import ceil, comb, gcd
 
 from repro._validation import check_class_params, check_int
 from repro.core.schedule import Schedule
@@ -45,6 +46,8 @@ __all__ = [
     "construct_exact",
     "construct_detailed",
     "ConstructionResult",
+    "Census",
+    "census",
     "frame_length_formula",
     "contiguous_chunks",
     "balanced_chunks",
@@ -129,6 +132,17 @@ def _validate_inputs(source: Schedule, alpha_t: int, alpha_r: int) -> None:
         raise ValueError("the source schedule must be non-sleeping (R[i] = V - T[i])")
 
 
+def _alpha_t_star(n: int, d: int, alpha_t: int) -> int:
+    """Theorem 4's ``alpha_T*``, rejecting a budget that admits no slot."""
+    at_star = optimal_transmitters_constrained(n, d, alpha_t)
+    if at_star < 1:
+        raise ValueError(
+            f"Theorem 4 optimal transmitter count is {at_star} for "
+            f"(n={n}, D={d}, alpha_T={alpha_t}); no useful schedule exists"
+        )
+    return at_star
+
+
 def _run_construction(source: Schedule, chunk_t: int, alpha_r: int,
                       balanced: bool) -> ConstructionResult:
     """Core of Figure 2 given a fixed T-chunk size (``alpha_T*``)."""
@@ -192,13 +206,8 @@ def construct_detailed(source: Schedule, d: int, alpha_t: int, alpha_r: int,
     """
     n, d = check_class_params(source.n, d)
     _validate_inputs(source, alpha_t, alpha_r)
-    at_star = optimal_transmitters_constrained(n, d, alpha_t)
-    if at_star < 1:
-        raise ValueError(
-            f"Theorem 4 optimal transmitter count is {at_star} for "
-            f"(n={n}, D={d}, alpha_T={alpha_t}); no useful schedule exists"
-        )
-    return _run_construction(source, at_star, alpha_r, balanced)
+    return _run_construction(source, _alpha_t_star(n, d, alpha_t), alpha_r,
+                             balanced)
 
 
 def construct(source: Schedule, d: int, alpha_t: int, alpha_r: int,
@@ -236,6 +245,28 @@ def construct_exact(source: Schedule, alpha_t_prime: int, alpha_r_prime: int,
     return _run_construction(source, alpha_t_prime, alpha_r_prime, balanced).schedule
 
 
+def _chunk_count(m: int, size: int, balanced: bool) -> int:
+    """Chunks the selected division of an ``m``-element set emits.
+
+    ``ceil(m / size)`` for :func:`contiguous_chunks`,
+    ``m / gcd(m, min(size, m))`` for :func:`balanced_chunks`; 0 for an
+    empty set.
+    """
+    if m == 0:
+        return 0
+    if balanced:
+        return m // gcd(m, min(size, m))
+    return -(-m // size)
+
+
+def _emitted_slots(n: int, tx_count: int, alpha_t_star: int, alpha_r: int,
+                   balanced: bool) -> int:
+    """``k_T * k_R``: constructed slots emitted per source slot with
+    ``|T[i]| = tx_count`` (and ``|R[i]| = n - tx_count``)."""
+    return _chunk_count(tx_count, alpha_t_star, balanced) \
+        * _chunk_count(n - tx_count, alpha_r, balanced)
+
+
 def frame_length_formula(source: Schedule, alpha_t_star: int, alpha_r: int,
                          *, balanced: bool = False) -> tuple[int, int]:
     """Theorem 7: the constructed frame length and its closed-form upper bound.
@@ -250,19 +281,65 @@ def frame_length_formula(source: Schedule, alpha_t_star: int, alpha_r: int,
     alpha_t_star = check_int(alpha_t_star, "alpha_t_star", minimum=1)
     alpha_r = check_int(alpha_r, "alpha_r", minimum=1)
     n = source.n
-    exact = 0
-    for i in range(source.frame_length):
-        m_t = source.tx_counts[i]
-        m_r = n - m_t
-        if balanced:
-            k_t = (m_t // gcd(m_t, min(alpha_t_star, m_t))) if m_t else 0
-            k_r = (m_r // gcd(m_r, min(alpha_r, m_r))) if m_r else 0
-        else:
-            k_t = ceil(m_t / alpha_t_star) if m_t else 0
-            k_r = ceil(m_r / alpha_r) if m_r else 0
-        exact += k_t * k_r
+    exact = sum(
+        slots * _emitted_slots(n, m_t, alpha_t_star, alpha_r, balanced)
+        for (m_t, _m_r), slots in source.count_histogram)
     maximum = max(source.tx_counts)
     minimum = min(source.tx_counts)
     bound = ceil(maximum / alpha_t_star) * ceil((n - minimum) / alpha_r) \
         * source.frame_length
     return exact, bound
+
+
+@dataclass(frozen=True)
+class Census:
+    """What a constructed schedule scores, known before it is built.
+
+    Attributes
+    ----------
+    throughput:
+        Exact Theorem 2 average worst-case throughput.
+    duty_cycle:
+        Exact average awake fraction.
+    frame_length:
+        The Theorem 7 frame length ``L_bar``.
+    """
+
+    throughput: Fraction
+    duty_cycle: Fraction
+    frame_length: int
+
+
+def census(source: Schedule, d: int, alpha_t: int, alpha_r: int,
+           *, balanced: bool = False) -> Census:
+    """Score :func:`construct_detailed` ``(source, d, alpha_t, alpha_r)``
+    in closed form, without constructing it.
+
+    Figure 2 emits ``k_T * k_R`` slots per source slot ``i`` (Theorem 7),
+    each with exactly ``min(alpha_T*, |T[i]|)`` transmitters and, after
+    line 8's padding, ``alpha_R`` receivers.  Theorem 2 says throughput
+    depends only on those per-slot counts, so the throughput, the duty
+    cycle and the frame length all follow from the histogram of source
+    ``|T[i]|`` — the cost is one term per distinct count, not one per
+    constructed slot.  The values equal the constructed schedule's
+    :func:`~repro.core.throughput.average_throughput`,
+    :meth:`~repro.core.schedule.Schedule.average_duty_cycle` and
+    ``frame_length`` exactly.  Raises the construction's own
+    ``ValueError`` for inputs it would reject.
+    """
+    n, d = check_class_params(source.n, d)
+    _validate_inputs(source, alpha_t, alpha_r)
+    at_star = _alpha_t_star(n, d, alpha_t)
+    length = weighted = transmitters = 0
+    for (m_t, _m_r), slots in source.count_histogram:
+        emitted = slots * _emitted_slots(n, m_t, at_star, alpha_r, balanced)
+        t = min(at_star, m_t)
+        length += emitted
+        transmitters += emitted * t
+        weighted += emitted * t * comb(n - t - 1, d - 1)
+    if length == 0:
+        raise ValueError("a schedule must have at least one slot")
+    throughput = Fraction(weighted * alpha_r,
+                          n * (n - 1) * comb(n - 2, d - 1) * length)
+    duty = Fraction(transmitters + alpha_r * length, n * length)
+    return Census(throughput, duty, length)

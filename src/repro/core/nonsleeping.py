@@ -58,14 +58,15 @@ def from_cover_free_family(family: CoverFreeFamily, n: int) -> Schedule:
         raise ValueError(
             f"family has {family.size} blocks but {n} nodes were requested"
         )
-    tx = []
-    for i in range(family.ground):
-        slot_bit = 1 << i
-        mask = 0
-        for x in range(n):
-            if family.blocks[x] & slot_bit:
-                mask |= 1 << x
-        tx.append(mask)
+    # Transpose block x's slot bits into node bit x of each slot's mask:
+    # one step per (node, slot) incidence, not per (node, slot) pair.
+    tx = [0] * family.ground
+    for x in range(n):
+        block = family.blocks[x]
+        while block:
+            low = block & -block
+            tx[low.bit_length() - 1] |= 1 << x
+            block ^= low
     full = (1 << n) - 1
     rx = tuple(full & ~t for t in tx)
     return Schedule(n, tuple(tx), rx)

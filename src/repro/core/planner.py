@@ -4,9 +4,8 @@ A user's question is rarely "give me an (alpha_T, alpha_R)-schedule"; it is
 "my nodes may keep the radio on at most 30% of the time — what is the best
 topology-transparent schedule for up to n nodes of degree at most D?".
 This module answers it by searching the substrate families and the
-``(alpha_T, alpha_R)`` grid, scoring each candidate with the *exact*
-Theorem 2 average worst-case throughput of the constructed schedule and
-its exact awake fraction.
+``(alpha_T, alpha_R)`` grid for the exact Theorem 2 average worst-case
+throughput within the budget's exact awake fraction.
 
 The search is exhaustive over a small grid: substrates are the library's
 families, ``alpha_T`` ranges up to Theorem 4's saturation point (raising
@@ -14,10 +13,17 @@ it further provably cannot help), and for each ``alpha_T`` the largest
 ``alpha_R`` that still satisfies the duty budget is used (Theorem 4: the
 bound is increasing in ``alpha_R``).
 
-The grid machinery is exposed piecewise (:func:`duty_grid`,
-:func:`evaluate_grid_point`, :func:`select_best`) so that
-:mod:`repro.service.provision` can fan the same evaluations out over a
-process pool and merge the results deterministically; a cache honouring
+Every grid point is scored in closed form by
+:func:`repro.core.construction.census` — throughput, duty cycle and frame
+length follow from the histogram of source ``|T[i]|`` (Theorems 2 and 7,
+Figure 2) — and only the winner is constructed.  Its materialization
+(:func:`evaluate_grid_point`) re-checks the census exactly and raises on
+a mismatch, so a wrong score can never become a served plan.
+
+The search is exposed piecewise (:func:`duty_grid`,
+:func:`best_grid_point`, :func:`evaluate_grid_point`) so that
+:mod:`repro.service.api` can rank a batch's grids in-process and send
+only the winners through the fault-tolerant runtime; a cache honouring
 the :mod:`repro.service.store` protocol can be threaded through
 :func:`plan_schedule` to turn repeated plans into lookups.
 """
@@ -29,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from repro._validation import check_class_params, check_probability
-from repro.core.construction import construct_detailed
+from repro.core.construction import Census, census, construct_detailed
 from repro.obs.tracing import span
 from repro.core.nonsleeping import (
     mols_schedule,
@@ -51,6 +57,7 @@ __all__ = [
     "candidate_sources",
     "duty_budget_fraction",
     "duty_grid",
+    "best_grid_point",
     "evaluate_grid_point",
     "select_best",
 ]
@@ -172,6 +179,27 @@ def duty_grid(n: int, d: int, budget: Fraction,
     return points
 
 
+def best_grid_point(points: Iterable[GridPoint], d: int, budget: Fraction,
+                    *, balanced: bool = False
+                    ) -> tuple[GridPoint, Census] | None:
+    """The census winner of a grid within *budget*, or None if none fits.
+
+    Scores every point with :func:`repro.core.construction.census`, keeps
+    those whose exact duty cycle is at most *budget*, and ranks them like
+    :func:`select_best`: maximal ``(throughput, -frame_length)`` under a
+    *strict* comparison, so ties go to the earliest point in grid order.
+    Nothing is constructed.
+    """
+    best: tuple[GridPoint, Census] | None = None
+    for point in points:
+        score = census(point.source, d, point.alpha_t, point.alpha_r,
+                       balanced=balanced)
+        if score.duty_cycle <= budget and (best is None
+                                           or _rank(score) > _rank(best[1])):
+            best = (point, score)
+    return best
+
+
 def evaluate_grid_point(point: GridPoint, d: int, *,
                         balanced: bool = False) -> Plan:
     """Construct and score one grid point, independent of any duty budget.
@@ -179,13 +207,16 @@ def evaluate_grid_point(point: GridPoint, d: int, *,
     Returns the full :class:`Plan` (schedule, exact Theorem 2 throughput,
     exact awake fraction).  The result depends only on
     ``(family, n, D, alpha_T, alpha_R, balanced)`` — never on the budget —
-    which is what makes it a sound unit of caching and of parallel fan-out.
+    which is what makes it a sound unit of caching.  The constructed
+    schedule's scores must equal the point's
+    :func:`~repro.core.construction.census` exactly; a mismatch raises
+    ``RuntimeError`` rather than return a plan the ranking never saw.
     """
     with span("planner.evaluate", family=point.family,
               alpha_t=point.alpha_t, alpha_r=point.alpha_r):
         res = construct_detailed(point.source, d, point.alpha_t,
                                  point.alpha_r, balanced=balanced)
-        return Plan(
+        plan = Plan(
             schedule=res.schedule,
             family=point.family,
             alpha_t=point.alpha_t,
@@ -194,20 +225,33 @@ def evaluate_grid_point(point: GridPoint, d: int, *,
             duty_cycle=res.schedule.average_duty_cycle(),
             frame_length=res.schedule.frame_length,
         )
+        expected = census(point.source, d, point.alpha_t, point.alpha_r,
+                          balanced=balanced)
+        built = Census(plan.throughput, plan.duty_cycle, plan.frame_length)
+        if built != expected:
+            raise RuntimeError(
+                f"census mismatch for {point.family} (n={point.source.n}, "
+                f"D={d}, alpha_T={point.alpha_t}, alpha_R={point.alpha_r}, "
+                f"balanced={balanced}): constructed {built}, "
+                f"census {expected}")
+        return plan
+
+
+def _rank(score) -> tuple[Fraction, int]:
+    """The planner's objective: throughput first, then the shorter frame."""
+    return score.throughput, -score.frame_length
 
 
 def select_best(candidates: Iterable[Plan]) -> Plan | None:
     """Deterministic winner of a candidate sequence, or None if empty.
 
     Maximizes ``(throughput, -frame_length)`` with a *strict* comparison,
-    so ties break toward the earliest candidate in iteration order —
-    evaluating the grid sequentially or in parallel therefore selects the
-    identical plan as long as candidates are presented in grid order.
+    so ties break toward the earliest candidate in iteration order — the
+    same rule :func:`best_grid_point` applies to census scores.
     """
     best: Plan | None = None
     for plan in candidates:
-        if best is None or (plan.throughput, -plan.frame_length) > \
-                (best.throughput, -best.frame_length):
+        if best is None or _rank(plan) > _rank(best):
             best = plan
     return best
 
@@ -234,11 +278,12 @@ def plan_schedule(n: int, d: int, max_duty: float | str | Fraction, *,
     cache:
         Optional schedule store honouring the
         :class:`repro.service.store.ScheduleStore` protocol
-        (``get_eval``/``put_eval``/``get_plan``/``put_plan``).  Grid-point
-        evaluations and the winning plan are memoized through it, so a
-        repeated request performs zero constructions.  Only consulted for
-        the default families — custom substrate lists are not identified
-        by the store's key schema.
+        (``get_eval``/``put_eval``/``get_plan``/``put_plan``).  The
+        winning plan and the winner's evaluation are memoized through it,
+        so a repeated request — or another budget with the same winner —
+        performs zero constructions.  Only consulted for the default
+        families — custom substrate lists are not identified by the
+        store's key schema.
 
     Returns the :class:`Plan` maximizing exact average worst-case
     throughput subject to ``duty_cycle <= max_duty``; ties break toward
@@ -263,25 +308,23 @@ def _plan_schedule(n, d, max_duty, budget, *, balanced, families, cache):
         if hit is not None:
             return hit
     sources = families if families is not None else candidate_sources(n, d)
-    candidates: list[Plan] = []
-    for point in duty_grid(n, d, budget, sources):
-        plan = None
-        if cacheable:
-            plan = cache.get_eval(point.family, n, d, point.alpha_t,
-                                  point.alpha_r, balanced)
-        if plan is None:
-            plan = evaluate_grid_point(point, d, balanced=balanced)
-            if cacheable:
-                cache.put_eval(point.family, n, d, point.alpha_t,
-                               point.alpha_r, balanced, plan)
-        if plan.duty_cycle <= budget:
-            candidates.append(plan)
-    best = select_best(candidates)
+    best = best_grid_point(duty_grid(n, d, budget, sources), d, budget,
+                           balanced=balanced)
     if best is None:
         raise ValueError(
             f"no ({'balanced ' if balanced else ''}alpha_T, alpha_R) choice "
             f"fits duty budget {max_duty} for n={n} (need >= 2/n)"
         )
+    point = best[0]
+    plan = None
     if cacheable:
-        cache.put_plan(n, d, budget, balanced, best)
-    return best
+        plan = cache.get_eval(point.family, n, d, point.alpha_t,
+                              point.alpha_r, balanced)
+    if plan is None:
+        plan = evaluate_grid_point(point, d, balanced=balanced)
+        if cacheable:
+            cache.put_eval(point.family, n, d, point.alpha_t, point.alpha_r,
+                           balanced, plan)
+    if cacheable:
+        cache.put_plan(n, d, budget, balanced, plan)
+    return plan

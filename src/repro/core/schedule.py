@@ -17,6 +17,7 @@ guides.  NumPy boolean-matrix views are provided for vectorized analyses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -200,10 +201,21 @@ class Schedule:
         """``|R[i]|`` for every slot."""
         return tuple(m.bit_count() for m in self.rx)
 
+    @cached_property
+    def count_histogram(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        """``((|T[i]|, |R[i]|), slots)`` pairs, sorted: how many slots have
+        each count pair.  Theorem 2's throughput, the duty cycle and the
+        Figure 2 construction's slot counts depend on nothing else."""
+        return tuple(sorted(Counter(zip(self.tx_counts,
+                                        self.rx_counts)).items()))
+
     def is_non_sleeping(self) -> bool:
-        """True iff ``T[i] | R[i] == V_n`` in every slot (section 3)."""
-        full = (1 << self.n) - 1
-        return all(t | r == full for t, r in zip(self.tx, self.rx))
+        """True iff ``T[i] | R[i] == V_n`` in every slot (section 3).
+
+        ``T[i]`` and ``R[i]`` are disjoint, so that holds iff
+        ``|T[i]| + |R[i]| == n``; the check reads the count histogram.
+        """
+        return all(t + r == self.n for (t, r), _ in self.count_histogram)
 
     def is_alpha_schedule(self, alpha_t: int, alpha_r: int) -> bool:
         """True iff this is an ``(alpha_T, alpha_R)``-schedule (section 3)."""

@@ -27,7 +27,9 @@ def schedule_to_dict(schedule: Schedule, *, meta: dict[str, Any] | None = None
     """Serializable representation: per-slot node lists plus metadata.
 
     Node lists (rather than opaque bitmask integers) keep the format
-    readable and language-neutral; frames are short, so size is a non-issue.
+    readable and language-neutral.  The price is size, linear in
+    ``L * n``: a balanced ``(n, D, duty) = (30, 3, 2/5)`` plan has
+    ``L = 3750`` slots and its provisioning response is about 175 KiB.
     """
     doc: dict[str, Any] = {
         "format": "repro-schedule",

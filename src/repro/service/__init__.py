@@ -1,15 +1,18 @@
-"""Schedule provisioning service: cache, parallel provisioner, batch API.
+"""Schedule provisioning service: cache, winner construction, batch API.
 
 The first scaling layer of the reproduction.  Where :mod:`repro.core`
 computes one schedule exactly, this package serves *many* schedule
-requests fast:
+requests fast.  Each request's grid is ranked in closed form by the
+planner's census and only its winner is constructed; requests sharing a
+winner share that construction.
 
 ``repro.service.store``
     Content-addressed, versioned on-disk schedule cache with an in-memory
-    LRU front, atomic writes and corruption-tolerant loads.
+    LRU front, atomic writes and corruption-tolerant loads.  It holds the
+    winning plans and the winners' evaluations.
 ``repro.service.provision``
-    Deduplicating fan-out of planner grid evaluations with deterministic
-    (grid-order) result merging.
+    :class:`EvalTask`, the pool-shippable unit of work: one census
+    winner to construct, keyed by the store's eval key.
 ``repro.service.runtime``
     The fault-tolerant execution layer underneath: individual futures,
     per-task timeout, retry with seeded backoff, broken-pool recovery
@@ -28,7 +31,7 @@ from repro.service.api import (
     provision_batch,
     provision_batch_report,
 )
-from repro.service.provision import EvalTask, evaluate_tasks, task_from_point
+from repro.service.provision import EvalTask, task_from_point
 from repro.service.runtime import (
     RuntimeConfig,
     RuntimeResult,
@@ -55,7 +58,6 @@ __all__ = [
     "TaskReport",
     "execute_tasks",
     "EvalTask",
-    "evaluate_tasks",
     "task_from_point",
     "ScheduleStore",
     "StoreStats",

@@ -7,21 +7,21 @@ per-class requests.  :func:`provision_batch` is that service's core:
 1. duplicate requests collapse to one computation;
 2. plan-level cache hits (via a :class:`~repro.service.store.ScheduleStore`)
    short-circuit entire searches;
-3. the surviving grid points of *all* requests are pooled, deduplicated
-   and evaluated together — inline or across a process pool — so a batch
-   sharing substrates pays for each construction once;
-4. per-request winners are selected in grid order
-   (:func:`repro.core.planner.select_best`), making the parallel path
-   bit-identical to sequential :func:`repro.core.planner.plan_schedule`.
+3. every other request ranks its whole grid in closed form
+   (:func:`repro.core.planner.best_grid_point`, the census) with the same
+   duty filter and grid-order tie-break as
+   :func:`repro.core.planner.plan_schedule`, so the answer is identical;
+4. only the winners are constructed — one task per distinct winner, so
+   requests sharing a winner share its construction and its checkpoint.
 
 Requests that fail (impossible class parameters, infeasible budgets) are
 reported per-request via :attr:`ProvisionResult.error`; one bad request
-never poisons the batch.  Grid evaluations run under the fault-tolerant
+never poisons the batch.  Winners are built under the fault-tolerant
 runtime of :mod:`repro.service.runtime`: a crashed, hung or raising
-worker costs *at most* the grid points it was computing — every healthy
-task's plan still comes back, the faulty tasks' statuses are reported per
-task, and requests whose grid lost points are answered from the
-survivors and marked ``degraded``.
+worker costs *at most* the requests whose winner it was building.  Those
+come back with an ``error`` and the lost task's status in
+``failed_tasks`` (and :attr:`BatchReport.degraded` is set); no plan is
+ever picked from anything but the full grid.
 """
 
 from __future__ import annotations
@@ -33,15 +33,15 @@ from typing import Any, Iterable
 from repro._validation import check_class_params, check_int
 from repro.core.planner import (
     Plan,
+    best_grid_point,
     candidate_sources,
     duty_budget_fraction,
     duty_grid,
-    select_best,
 )
 from repro.core.serialization import schedule_from_dict, schedule_to_dict
 from repro.faults import FaultPlan
 from repro.obs.tracing import span
-from repro.service.provision import task_from_point
+from repro.service.provision import EvalTask, task_from_point
 from repro.service.runtime import RuntimeConfig, TaskReport, execute_tasks
 from repro.service.store import ScheduleStore, StoreStats
 
@@ -133,17 +133,17 @@ class ProvisionResult:
         The winning plan, or None when *error* is set.
     from_cache:
         True when the whole plan came from a plan-level cache hit
-        (no grid point of this request was evaluated or even looked up).
+        (no grid point of this request was scored or constructed).
     error:
         Human-readable failure description, or None on success.
     degraded:
-        True when some of this request's grid evaluations were lost to
-        worker faults and the winner was selected among the survivors
-        only — the plan is valid but possibly not the global optimum.
-        Degraded winners are never written to the plan-level cache.
+        Kept so protocol v1 documents round-trip: older servers answered
+        from the surviving grid points and marked such plans degraded.
+        Provisioning never sets it; a lost winner is an ``error``.
     failed_tasks:
-        ``(digest, status)`` pairs for the lost grid points of this
-        request (statuses from :mod:`repro.service.runtime`).
+        ``(digest, status)`` of this request's winner when its
+        construction was lost to a worker fault (statuses from
+        :mod:`repro.service.runtime`); empty otherwise.
     """
 
     request: ProvisionRequest
@@ -219,18 +219,6 @@ class ProvisionResult:
                    failed_tasks=failed)
 
 
-@dataclass
-class _Pending:
-    """Book-keeping for one distinct request signature being computed."""
-
-    n: int
-    d: int
-    budget: Fraction
-    balanced: bool
-    digests: list[str] = field(default_factory=list)
-    cached: dict[str, Plan] = field(default_factory=dict)
-
-
 def _no_plan_error(n: int, max_duty, balanced: bool) -> str:
     """The planner's infeasible-budget message, shared verbatim."""
     return (f"no ({'balanced ' if balanced else ''}alpha_T, alpha_R) choice "
@@ -248,7 +236,7 @@ class BatchReport:
         exactly what :func:`provision_batch` returns.
     task_reports:
         Digest -> :class:`~repro.service.runtime.TaskReport` for every
-        distinct grid evaluation the batch attempted (cache hits are not
+        distinct winner the batch constructed (cache hits are not
         attempts and do not appear).
     pool_rebuilds:
         Times the runtime rebuilt its worker pool (crashes + reclaimed
@@ -264,7 +252,7 @@ class BatchReport:
     store_stats: StoreStats | None = None
 
     def task_summary(self) -> dict[str, int]:
-        """Status -> count over every attempted grid evaluation."""
+        """Status -> count over every attempted winner construction."""
         counts: dict[str, int] = {}
         for report in self.task_reports.values():
             counts[report.status] = counts.get(report.status, 0) + 1
@@ -272,9 +260,8 @@ class BatchReport:
 
     @property
     def degraded(self) -> bool:
-        """True when any request lost grid points to worker faults."""
-        return any(r.degraded or (r.error is not None and r.failed_tasks)
-                   for r in self.results)
+        """True when any request lost its winner to a worker fault."""
+        return any(r.failed_tasks for r in self.results)
 
 
 def provision_batch(requests: Iterable[ProvisionRequest], *,
@@ -285,9 +272,8 @@ def provision_batch(requests: Iterable[ProvisionRequest], *,
 
     Thin wrapper over :func:`provision_batch_report` that keeps the
     historical return type (results only).  Never raises for a worker
-    fault: requests whose grid evaluations were lost come back partial —
-    answered from the surviving candidates and marked ``degraded``, or
-    carrying an ``error`` when nothing survived.
+    fault: a request whose winner's construction was lost comes back
+    with an ``error`` and the lost task in ``failed_tasks``.
 
     Parameters
     ----------
@@ -297,7 +283,7 @@ def provision_batch(requests: Iterable[ProvisionRequest], *,
         Optional :class:`~repro.service.store.ScheduleStore` (or anything
         honouring its protocol).  None disables caching entirely.
     jobs:
-        Process-pool width for grid-point evaluation; ``1`` runs inline.
+        Process-pool width for winner construction; ``1`` runs inline.
         The selected plans are identical for every value of *jobs*.
     runtime:
         Optional :class:`~repro.service.runtime.RuntimeConfig` tuning
@@ -336,14 +322,14 @@ def provision_batch_report(requests: Iterable[ProvisionRequest], *,
             signatures.append(None)
             errors[i] = str(exc)
 
-    # Resolve each distinct signature once.
+    # Resolve each distinct signature once: a plan-cache hit, an
+    # infeasible budget, or the census winner of its grid.
     resolved: dict[tuple, tuple[Plan | None, bool]] = {}
-    pending: dict[tuple, _Pending] = {}
-    tasks = []
-    grids: dict[tuple[int, int], list] = {}
+    winners: dict[tuple, EvalTask] = {}
+    sources: dict[tuple[int, int], list] = {}
     with span("provision.plan", requests=len(requests)):
         for sig in signatures:
-            if sig is None or sig in resolved or sig in pending:
+            if sig is None or sig in resolved or sig in winners:
                 continue
             n, d, budget, balanced = sig
             if store is not None:
@@ -351,52 +337,41 @@ def provision_batch_report(requests: Iterable[ProvisionRequest], *,
                 if hit is not None:
                     resolved[sig] = (hit, True)
                     continue
-            if (n, d) not in grids:
-                grids[(n, d)] = candidate_sources(n, d)
-            work = _Pending(n, d, budget, balanced)
-            for point in duty_grid(n, d, budget, grids[(n, d)]):
-                task = task_from_point(point, n, d, balanced)
-                digest = task.key()
-                work.digests.append(digest)
-                plan = None
-                if store is not None:
-                    plan = store.get_eval(point.family, n, d, point.alpha_t,
-                                          point.alpha_r, balanced)
-                if plan is not None:
-                    work.cached[digest] = plan
-                else:
-                    tasks.append(task)
-            pending[sig] = work
+            if (n, d) not in sources:
+                sources[(n, d)] = candidate_sources(n, d)
+            best = best_grid_point(duty_grid(n, d, budget, sources[(n, d)]),
+                                   d, budget, balanced=balanced)
+            if best is None:
+                resolved[sig] = (None, False)
+            else:
+                winners[sig] = task_from_point(best[0], n, d, balanced)
+        plans: dict[str, Plan] = {}
+        todo = []
+        for task in {task.key(): task for task in winners.values()}.values():
+            plan = None
+            if store is not None:
+                plan = store.get_eval(task.family, task.n, task.d,
+                                      task.alpha_t, task.alpha_r,
+                                      task.balanced)
+            if plan is None:
+                todo.append(task)
+            else:
+                plans[task.key()] = plan
 
-    # The fault-tolerant runtime: individual futures, retry/backoff,
-    # broken-pool recovery, and checkpointing of every completed
-    # evaluation straight into the store (so an interrupted batch
-    # resumes warm — cache lookups above already reap old checkpoints).
-    with span("provision.evaluate", tasks=len(tasks), jobs=config.jobs):
-        outcome = execute_tasks(tasks, config=config, store=store,
+    # Construct each distinct winner once under the fault-tolerant
+    # runtime, which checkpoints it into the store the moment it is built
+    # (so an interrupted batch resumes warm through the lookups above).
+    with span("provision.evaluate", tasks=len(todo), jobs=config.jobs):
+        outcome = execute_tasks(todo, config=config, store=store,
                                 faults=faults)
-    fresh = outcome.plans
+    plans.update(outcome.plans)
 
-    lost: dict[tuple, list[tuple[str, str]]] = {}
-    with span("provision.store", signatures=len(pending)):
-        for sig, work in pending.items():
-            candidates = []
-            for digest in work.digests:
-                plan = work.cached.get(digest) or fresh.get(digest)
-                if plan is None:  # evaluation lost to a worker fault
-                    report = outcome.reports[digest]
-                    lost.setdefault(sig, []).append((digest, report.status))
-                    continue
-                if plan.duty_cycle <= work.budget:
-                    candidates.append(plan)
-            best = select_best(candidates)
-            resolved[sig] = (best, False)
-            # Degraded winners are never cached: with the full grid they
-            # might lose to one of the lost points, and a poisoned cache
-            # would outlive the fault.
-            if best is not None and store is not None and sig not in lost:
-                store.put_plan(work.n, work.d, work.budget, work.balanced,
-                               best)
+    with span("provision.store", signatures=len(winners)):
+        for sig, task in winners.items():
+            plan = plans.get(task.key())
+            resolved[sig] = (plan, False)
+            if plan is not None and store is not None:
+                store.put_plan(*sig, plan)
 
     results: list[ProvisionResult] = []
     for i, (request, sig) in enumerate(zip(requests, signatures)):
@@ -404,23 +379,20 @@ def provision_batch_report(requests: Iterable[ProvisionRequest], *,
             results.append(ProvisionResult(request, None, error=errors[i]))
             continue
         plan, from_cache = resolved[sig]
-        failed = tuple(lost.get(sig, ()))
-        if plan is None and failed:
+        if plan is not None:
+            results.append(ProvisionResult(request, plan,
+                                           from_cache=from_cache))
+        elif sig in winners:  # the winner's construction was lost
+            digest = winners[sig].key()
+            status = outcome.reports[digest].status
             results.append(ProvisionResult(
-                request, None, failed_tasks=failed,
-                error=(f"no plan within budget: {len(failed)} grid "
-                       "evaluation(s) lost to worker faults ("
-                       + ", ".join(f"{d[:12]}={s}" for d, s in failed)
-                       + ") and no surviving candidate fits")))
-        elif plan is None:
+                request, None, failed_tasks=((digest, status),),
+                error=(f"winning grid point {digest[:12]} lost to a worker "
+                       f"fault ({status}); no plan served")))
+        else:
             results.append(ProvisionResult(
                 request, None,
                 error=_no_plan_error(sig[0], request.max_duty, sig[3])))
-        else:
-            results.append(ProvisionResult(request, plan,
-                                           from_cache=from_cache,
-                                           degraded=bool(failed),
-                                           failed_tasks=failed))
     return BatchReport(results=results, task_reports=outcome.reports,
                        pool_rebuilds=outcome.pool_rebuilds,
                        store_stats=store.stats if store is not None else None)

@@ -1,35 +1,23 @@
-"""Parallel fan-out of planner grid evaluations with deterministic merge.
+"""The unit of provisioning work: one census winner to construct.
 
-The planner's substrate × ``(alpha_T, alpha_R)`` grid is embarrassingly
-parallel: every :class:`~repro.core.planner.GridPoint` evaluation is
-independent and budget-free (see
-:func:`repro.core.planner.evaluate_grid_point`).  This module farms
-deduplicated grid points — possibly pooled across a whole batch of
-provisioning requests — over the fault-tolerant runtime of
-:mod:`repro.service.runtime` and returns results keyed by the store's key
-schema, so the caller can reassemble per-request candidate lists *in grid
-order* and select winners with :func:`repro.core.planner.select_best`.
-Selection order, not completion order, decides ties; hence ``jobs=1`` and
-``jobs=N`` provably produce identical plans.
-
-Failure semantics: a raising task never takes the batch down with it.
-:func:`evaluate_tasks` returns every survivor's plan; the failed tasks'
-diagnoses live in the :class:`~repro.service.runtime.TaskReport` objects
-of :func:`~repro.service.runtime.execute_tasks`, which this function
-wraps.
+The planner scores its whole substrate × ``(alpha_T, alpha_R)`` grid in
+closed form (:func:`repro.core.planner.best_grid_point`) and constructs
+only the winner.  :class:`EvalTask` packages that winning grid point so
+the fault-tolerant runtime of :mod:`repro.service.runtime` can build it
+inline or in a worker process, and checkpoint it into the store under the
+store's eval key.  Requests whose winners coincide share one task, hence
+one construction and one checkpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro._validation import check_int
-from repro.core.planner import GridPoint, Plan
+from repro.core.planner import GridPoint
 from repro.core.schedule import Schedule
-from repro.service.runtime import RuntimeConfig, execute_tasks
 from repro.service.store import key_digest, eval_key
 
-__all__ = ["EvalTask", "task_from_point", "evaluate_tasks"]
+__all__ = ["EvalTask", "task_from_point"]
 
 
 @dataclass(frozen=True)
@@ -71,42 +59,3 @@ def task_from_point(point: GridPoint, n: int, d: int, balanced: bool
     return EvalTask(family=point.family, source=point.source, n=n, d=d,
                     alpha_t=point.alpha_t, alpha_r=point.alpha_r,
                     balanced=balanced)
-
-
-def evaluate_tasks(tasks: list[EvalTask], *, jobs: int = 1,
-                   config: RuntimeConfig | None = None, store=None,
-                   faults=None) -> dict[str, Plan]:
-    """Evaluate every task; survivors always come back, failures never
-    poison the batch.
-
-    Returns a dict from store-key digest to :class:`Plan`.  Duplicate
-    digests in *tasks* are evaluated once.  With ``jobs == 1`` everything
-    runs in-process (no pool, no pickling); with ``jobs > 1`` each task is
-    an individual future over ``min(jobs, len(tasks))`` workers under the
-    fault-tolerant runtime (per-task timeout, retry with backoff, broken
-    pool recovery — see :mod:`repro.service.runtime`).  Because results
-    come back *keyed*, scheduling order cannot influence which plan a
-    request ultimately selects — merging is deterministic by design.
-
-    A task whose final attempt raises is simply *absent* from the returned
-    dict; every other task's plan is still present.  Callers that need the
-    per-task diagnosis (status, attempts, error text) should use
-    :func:`repro.service.runtime.execute_tasks` directly, which this
-    function wraps.  *config*, *store* and *faults* pass through to it:
-    *store* checkpoints completed evaluations immediately, *faults*
-    injects worker failures for tests and chaos runs.
-    """
-    jobs = check_int(jobs, "jobs", minimum=1)
-    distinct: dict[str, EvalTask] = {}
-    for task in tasks:
-        distinct.setdefault(task.key(), task)
-    if not distinct:
-        return {}
-    if len(distinct) == 1 and faults is None:
-        jobs = 1  # a pool for one task is pure overhead
-    config = config or RuntimeConfig()
-    if config.jobs != jobs:
-        config = replace(config, jobs=jobs)
-    outcome = execute_tasks(distinct.values(), config=config, store=store,
-                            faults=faults)
-    return outcome.plans

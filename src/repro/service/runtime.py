@@ -1,10 +1,11 @@
-"""Fault-tolerant execution layer for provisioning grid evaluations.
+"""Fault-tolerant execution layer for provisioning and sweep tasks.
 
-The old fan-out (``pool.map`` in :mod:`repro.service.provision`) had the
-failure semantics of its weakest worker: one crashed process aborted the
-whole batch and discarded every already-completed evaluation.  This module
-replaces it with a runtime in the spirit of the paper — the service keeps
-its guarantees under adversity:
+Provisioning sends each census winner here as one
+:class:`~repro.service.provision.EvalTask`; the sweep engine sends its
+shards.  A plain ``pool.map`` would have the failure semantics of its
+weakest worker: one crashed process would abort the whole batch and
+discard every already-completed task.  This runtime keeps the service's
+guarantees under adversity:
 
 * every distinct task is submitted as an **individual future**, so one
   task's fate never decides another's;

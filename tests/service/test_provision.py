@@ -174,13 +174,23 @@ class TestCaching:
         assert [r.plan for r in seq] == [r.plan for r in par]
 
     def test_eval_entries_shared_between_requests(self, store, monkeypatch):
-        """Two budgets over one class share their common grid points."""
-        provision_batch([ProvisionRequest(12, 2, 0.5)], store=store)
+        """A cold request constructs only its census winner; another
+        budget with the same winner reuses that checkpoint."""
         calls = _count_constructions(monkeypatch)
-        provision_batch([ProvisionRequest(12, 2, 0.4)],
-                        store=ScheduleStore(store.cache_dir))
-        full_grid_cost = store.stats.stores - 1  # minus the plan entry
-        assert 0 < len(calls) < full_grid_cost
+        provision_batch([ProvisionRequest(12, 2, Fraction(1, 3))],
+                        store=store)
+        assert len(calls) == 1
+        assert store.stats.stores == 2  # the winner's eval + the plan
+        assert _winner_digest(12, 2, Fraction(1, 3)) == \
+            _winner_digest(12, 2, 0.4)
+        calls.clear()
+        warm_store = ScheduleStore(store.cache_dir)
+        second = provision_batch([ProvisionRequest(12, 2, 0.4)],
+                                 store=warm_store)
+        assert calls == []
+        assert not second[0].from_cache  # a new plan entry, an old eval
+        assert warm_store.stats.hits == 1
+        assert second[0].plan == plan_schedule(12, 2, 0.4)
 
     def test_no_store_means_no_disk(self, tmp_path):
         provision_batch([ProvisionRequest(12, 2, 0.5)], store=None)
@@ -195,76 +205,81 @@ class TestResultDataclass:
             result.from_cache = True  # type: ignore[misc]
 
 
-def _grid_digests(n=12, d=2, duty=0.5, balanced=False):
-    """The store-key digests of the planner grid, in grid order."""
-    from repro.core.planner import (candidate_sources, duty_budget_fraction,
-                                    duty_grid)
+def _winner_digest(n, d, duty, balanced=False):
+    """The store-key digest of the census winner of a request's grid."""
+    from repro.core.planner import (best_grid_point, candidate_sources,
+                                    duty_budget_fraction, duty_grid)
     from repro.service.provision import task_from_point
-    points = duty_grid(n, d, duty_budget_fraction(duty),
-                       candidate_sources(n, d))
-    return [task_from_point(p, n, d, balanced).key() for p in points]
+    budget = duty_budget_fraction(duty)
+    point, _score = best_grid_point(
+        duty_grid(n, d, budget, candidate_sources(n, d)), d, budget,
+        balanced=balanced)
+    return task_from_point(point, n, d, balanced).key()
 
 
 class TestFaultTolerance:
-    """The PR's acceptance scenario: crash + hang, then warm resume."""
+    """Crash + hang on the winners' constructions, then warm resume."""
 
     def test_crash_and_hang_then_resume_from_checkpoint(
             self, store, monkeypatch):
-        from fractions import Fraction
-
         from repro.faults import FaultPlan
         from repro.service.api import provision_batch_report
         from repro.service.runtime import RuntimeConfig
 
-        digests = _grid_digests()
-        crash, hang = digests[0], digests[1]
+        requests = [ProvisionRequest(12, 2, 0.5), ProvisionRequest(15, 2, 0.4)]
+        crash, hang = (_winner_digest(r.n, r.d, r.max_duty) for r in requests)
+        assert crash != hang
         faults = FaultPlan(hang_seconds=20, targeted_worker_faults=(
             (crash, ("crash",)), (hang, ("hang",) * 4)))
-        request = ProvisionRequest(12, 2, 0.5)
 
         # --- faulted run: one worker crash, one wedged worker ----------
         report = provision_batch_report(
-            [request], store=store,
+            requests, store=store,
             runtime=RuntimeConfig(jobs=2, task_timeout=1.0, max_retries=1,
                                   backoff_base=0.01),
             faults=faults)
         assert report.pool_rebuilds >= 1
         assert report.task_reports[crash].status == "retried"
         assert report.task_reports[hang].status == "timed-out"
-        result = report.results[0]
-        assert result.error is None and result.plan is not None
-        assert result.degraded and report.degraded
-        assert dict(result.failed_tasks) == {hang: "timed-out"}
-        # A degraded winner must never reach the plan-level cache.
-        assert store.get_plan(12, 2, Fraction(1, 2), False) is None
+        survivor, lost = report.results
+        assert survivor.error is None and survivor.failed_tasks == ()
+        assert survivor.plan == plan_schedule(12, 2, 0.5)
+        assert lost.plan is None and "lost to a worker fault" in lost.error
+        assert dict(lost.failed_tasks) == {hang: "timed-out"}
+        assert report.degraded and not lost.degraded
+        # A request whose winner was lost leaves no plan entry behind.
+        assert store.get_plan(15, 2, Fraction(2, 5), False) is None
 
-        # --- warm re-run: only the lost grid point is re-evaluated -----
+        # --- warm re-run: only the lost winner is constructed ----------
         calls = _count_constructions(monkeypatch)
         warm_store = ScheduleStore(store.cache_dir)
-        resumed = provision_batch_report([request], store=warm_store)
-        assert len(calls) == 1  # every checkpointed sibling was reaped
-        assert warm_store.stats.hits == len(digests) - 1
-        final = resumed.results[0]
-        assert not final.degraded and final.failed_tasks == ()
-        assert final.plan == plan_schedule(12, 2, 0.5)
+        resumed = provision_batch_report(requests, store=warm_store)
+        assert len(calls) == 1  # the survivor's plan entry was reaped
+        assert warm_store.stats.hits == 1
+        cached, final = resumed.results
+        assert cached.from_cache and cached.plan == survivor.plan
+        assert not resumed.degraded and final.failed_tasks == ()
+        assert final.plan == plan_schedule(15, 2, 0.4)
         assert resumed.task_summary() == {"ok": 1}
         # The healthy run caches the plan like any other.
-        assert warm_store.stats.stores >= 2  # the lost eval + the plan
+        assert warm_store.stats.stores == 2  # the lost eval + the plan
 
     def test_all_grid_points_lost_yields_error_not_raise(self):
         from repro.faults import FaultPlan
+        from repro.service.api import provision_batch_report
         from repro.service.runtime import RuntimeConfig
 
-        digests = _grid_digests()
-        faults = FaultPlan(targeted_worker_faults=tuple(
-            (d, ("error",) * 9) for d in digests))
-        results = provision_batch(
+        winner = _winner_digest(12, 2, 0.5)
+        faults = FaultPlan(targeted_worker_faults=((winner, ("error",) * 9),))
+        report = provision_batch_report(
             [ProvisionRequest(12, 2, 0.5)],
             runtime=RuntimeConfig(max_retries=0), faults=faults)
-        result = results[0]
+        result = report.results[0]
         assert result.plan is None
-        assert "lost to worker faults" in result.error
-        assert len(result.failed_tasks) == len(digests)
+        assert "lost to a worker fault" in result.error
+        assert result.failed_tasks == ((winner, "failed"),)
+        assert report.degraded
+        assert set(result.to_dict()) == {"request", "error", "failed_tasks"}
 
     def test_healthy_batch_report_shape(self, store):
         from repro.service.api import provision_batch_report

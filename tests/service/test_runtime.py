@@ -11,7 +11,7 @@ from repro.core.planner import (
 )
 from repro.faults import FaultPlan
 import repro.service.runtime as runtime_mod
-from repro.service.provision import evaluate_tasks, task_from_point
+from repro.service.provision import task_from_point
 from repro.service.runtime import (
     RuntimeConfig,
     STATUS_FAILED,
@@ -190,15 +190,15 @@ class TestEvaluateTasks:
                                   alpha_r=tasks[0].n)
         with pytest.raises(Exception):
             runtime_mod._evaluate(bad)  # the bad task genuinely raises
-        plans = evaluate_tasks(list(tasks) + [bad],
-                               config=RuntimeConfig(max_retries=0))
-        assert set(plans) == set(clean_plans)
-        assert plans == clean_plans
+        outcome = execute_tasks(list(tasks) + [bad],
+                                config=RuntimeConfig(max_retries=0))
+        assert outcome.reports[bad.key()].status == STATUS_FAILED
+        assert outcome.plans == clean_plans
 
     def test_faults_thread_through(self, tasks, clean_plans):
         digest = tasks[0].key()
         faults = FaultPlan(targeted_worker_faults=((digest, ("error",) * 9),))
-        plans = evaluate_tasks(tasks, config=RuntimeConfig(max_retries=0),
-                               faults=faults)
-        assert digest not in plans
-        assert set(plans) == set(clean_plans) - {digest}
+        outcome = execute_tasks(tasks, config=RuntimeConfig(max_retries=0),
+                                faults=faults)
+        assert digest not in outcome.plans
+        assert set(outcome.plans) == set(clean_plans) - {digest}

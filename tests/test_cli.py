@@ -361,13 +361,14 @@ class TestSimulateFaults:
 
 class TestProvisionFaults:
     @staticmethod
-    def grid_digests():
-        from repro.core.planner import (candidate_sources,
+    def winner_digest():
+        from repro.core.planner import (best_grid_point, candidate_sources,
                                         duty_budget_fraction, duty_grid)
         from repro.service.provision import task_from_point
-        points = duty_grid(12, 2, duty_budget_fraction(0.5),
-                           candidate_sources(12, 2))
-        return [task_from_point(p, 12, 2, False).key() for p in points]
+        budget = duty_budget_fraction(0.5)
+        point, _score = best_grid_point(
+            duty_grid(12, 2, budget, candidate_sources(12, 2)), 2, budget)
+        return task_from_point(point, 12, 2, False).key()
 
     def test_stats_flag_emits_store_json(self, tmp_path, capsys):
         inp = tmp_path / "requests.jsonl"
@@ -385,7 +386,7 @@ class TestProvisionFaults:
                                                        capsys):
         inp = tmp_path / "requests.jsonl"
         inp.write_text('{"n": 12, "d": 2, "max_duty": 0.5}\n')
-        victim = self.grid_digests()[0]
+        victim = self.winner_digest()
         plan = tmp_path / "faults.json"
         plan.write_text(json.dumps(
             {"targeted_worker_faults": {victim: ["error"] * 9}}))
@@ -396,9 +397,10 @@ class TestProvisionFaults:
         assert rc == 3
         captured = capsys.readouterr()
         doc = json.loads(out.read_text())
-        assert doc["degraded"] is True
         assert doc["failed_tasks"] == {victim: "failed"}
-        assert doc["family"]  # still answered from the survivors
+        assert "lost to a worker fault" in doc["error"]
+        assert "degraded" not in doc and "family" not in doc
+        assert "provisioned 0/1 requests" in captured.err
         assert "1 degraded" in captured.err
         assert "1 failed" in captured.err
 
